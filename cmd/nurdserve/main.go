@@ -13,27 +13,31 @@
 // otherwise — at -speedup times recorded speed.
 //
 // -wal <dir> makes the server durable between snapshots: every accepted
-// mutation is appended to a write-ahead log in dir before it is
+// mutation is written to a write-ahead log in dir before it is
 // acknowledged, and on start the server automatically recovers from the
-// newest snapshot plus the log (point-in-time recovery). The log is
-// sharded — each registry shard's jobs append to their own segment stream
-// (-wal-streams; 0 follows the shard count) — and checkpoints itself on a
-// time and/or size policy (-wal-checkpoint-every / -wal-checkpoint-bytes),
-// so the retained log and recovery time stay bounded without operator
-// action. -wal-commit-batch switches durability to the batched group
-// commit: each fsync window stages every dirty stream's tail into one
-// shared commit file and syncs only that, so flush cost stays O(1) in the
-// stream count; recovery understands both layouts either way. A -replay after a recovery resumes the dump exactly where the
-// crashed process stopped — kill -9 mid-replay, rerun the same command,
+// newest snapshot plus the log (point-in-time recovery). What an
+// acknowledgment survives depends on -wal-sync: with 0 every append is
+// fsynced before it is acknowledged, so an acknowledged mutation survives
+// power loss; with an interval > 0 (the default) appends reach the OS
+// before they are acknowledged and a background group commit fsyncs them
+// at that interval, so an acknowledged mutation survives a process crash
+// and a power loss can lose up to one interval. The log is sharded — each
+// registry shard's jobs append to their own segment stream (-wal-streams;
+// 0 follows the shard count, capped at GOMAXPROCS) — and checkpoints
+// itself on a time and/or size policy (-wal-checkpoint-every /
+// -wal-checkpoint-bytes), so the retained log and recovery time stay
+// bounded without operator action. A -replay after a recovery resumes the
+// dump exactly where the crashed process stopped — kill -9 mid-replay, rerun the same command,
 // and no event is lost or applied twice. That resume math requires the
 // dump to be the only mutation source, so with -wal the -listen front end
 // opens only after the replay drains. The dir must already exist and be
 // writable.
 //
-// -wal-verify <dir> replays a WAL directory's structure offline — either
-// layout, including directories written before the per-shard upgrade — and
-// prints the recoverable LSN per shard plus the snapshot it would restore
-// from, without starting a server or writing a byte.
+// -wal-verify <dir> replays a WAL directory's structure offline and prints
+// the recoverable LSN per shard plus the snapshot it would restore from,
+// without starting a server or writing a byte. A directory holding files
+// of a retired layout (batched commit files, single-stream segments) is
+// refused, exactly as recovery refuses it.
 //
 // -refit-mode selects the checkpoint refit strategy for every job this
 // process registers: scratch (retrain from zero — bit-identical to the
@@ -97,12 +101,11 @@ func main() {
 		speedup   = flag.Float64("speedup", 0, "replay pacing as a multiple of recorded time (0 = as fast as possible)")
 		hold      = flag.Duration("hold", 0, "with -listen and -replay: keep serving this long after the replay drains")
 		walDir    = flag.String("wal", "", "write-ahead log directory (must exist); enables durable serving with automatic recovery on start")
-		syncEvery = flag.Duration("wal-sync", 2*time.Millisecond, "WAL group-commit fsync interval (0 = fsync every append)")
-		walStream = flag.Int("wal-streams", 0, "per-shard WAL segment streams (0 = the server's shard count)")
+		syncEvery = flag.Duration("wal-sync", 2*time.Millisecond, "WAL group-commit fsync interval: 0 = fsync every append before acknowledging it (acks survive power loss); > 0 = acks survive a process crash, a power loss can lose up to one interval")
+		walStream = flag.Int("wal-streams", 0, "per-shard WAL segment streams (0 = the server's shard count capped at GOMAXPROCS; at most 64)")
 		ckptEvery = flag.Duration("wal-checkpoint-every", time.Minute, "automatic WAL checkpoint period (0 disables the time trigger)")
 		ckptBytes = flag.Int64("wal-checkpoint-bytes", 64<<20, "automatic WAL checkpoint once this many bytes were appended since the last one (0 disables the size trigger)")
-		walBatch  = flag.Bool("wal-commit-batch", false, "batched cross-stream group commit: fsync one shared commit file per window instead of every dirty stream's segment (with -wal-streams 0 the fan-out then follows the shard count, not GOMAXPROCS)")
-		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure (either fsync layout, including commit files a batched writer left) and print the recoverable LSN per shard, then exit (no server is started)")
+		walVerify = flag.String("wal-verify", "", "offline: replay the WAL directory's structure and print the recoverable LSN per shard, then exit (no server is started)")
 		refitMode = flag.String("refit-mode", "scratch", "checkpoint refit strategy: scratch (bit-identical to the offline Table 3 path) or warm (warm-started incremental boosting, several times cheaper per refit)")
 		refitWork = flag.Int("refit-workers", 0, "background refit workers per shard (0 = default); model fits run on these, off the ingest path")
 
@@ -124,7 +127,6 @@ func main() {
 		Streams:         *walStream,
 		CheckpointEvery: *ckptEvery,
 		CheckpointBytes: *ckptBytes,
-		CommitBatch:     *walBatch,
 	}
 	scfg := servingConfig{
 		shards: *shards, refitMode: mode, refitWorkers: *refitWork,
@@ -146,7 +148,7 @@ func main() {
 }
 
 // runWALVerify prints the offline verifier's report for dir: the newest
-// structurally valid snapshot, the per-shard (and legacy) stream states,
+// structurally valid snapshot, the per-shard stream states,
 // and the LSN a recovery would resume at — without starting a server or
 // writing to the directory.
 func runWALVerify(dir string, w io.Writer) error {

@@ -114,10 +114,6 @@ type (
 	WALVerifyStream = wal.VerifyStream
 )
 
-// LegacyStream labels the pre-sharding single-stream generation in verify
-// reports.
-const LegacyStream = wal.LegacyStream
-
 // DefaultWALSegmentBytes is the rotation threshold when
 // WALOptions.SegmentBytes is zero.
 const DefaultWALSegmentBytes = wal.DefaultSegmentBytes

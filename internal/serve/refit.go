@@ -64,12 +64,14 @@ type refitTask struct {
 }
 
 // run executes the fit and delivers the result (always exactly one send).
-// A panicking predictor is contained to its own job: before the pipeline,
-// Predict ran on the ingesting goroutine where a panic could at least be
-// recovered by the transport; on a detached pool worker it would kill the
-// whole multi-tenant process, so it is converted into the existing
-// fail-the-job error path instead.
-func (t refitTask) run() {
+func (t refitTask) run() { t.ch <- t.fit() }
+
+// fit executes the fit. A panicking predictor is contained to its own job:
+// before the pipeline, Predict ran on the ingesting goroutine where a panic
+// could at least be recovered by the transport; on a detached pool worker
+// it would kill the whole multi-tenant process, so it is converted into the
+// existing fail-the-job error path instead.
+func (t refitTask) fit() refitResult {
 	var warm0, scratch0 uint64
 	if rc, ok := t.pred.(refitCounter); ok {
 		warm0, scratch0 = rc.RefitCounts()
@@ -81,7 +83,7 @@ func (t refitTask) run() {
 		w, s := rc.RefitCounts()
 		res.warm, res.scratch = w-warm0, s-scratch0
 	}
-	t.ch <- res
+	return res
 }
 
 func (t refitTask) predict() (verdicts []bool, err error) {
@@ -166,10 +168,14 @@ func (p *refitPool) work() {
 		p.queue = p.queue[1:]
 		p.inflight++
 		p.mu.Unlock()
-		t.run()
+		res := t.fit()
+		// Settle the gauge before delivering: once the result is in the
+		// channel the job may apply it and the server may read as drained,
+		// so the fit must no longer count as executing.
 		p.mu.Lock()
 		p.inflight--
 		p.mu.Unlock()
+		t.ch <- res
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -462,5 +463,29 @@ func TestPredictorPanicContained(t *testing.T) {
 	}
 	if !rep2.Done || rep2.Failed || rep2.Terminated == 0 {
 		t.Errorf("shard-mate of a panicking job misbehaved: %+v", rep2)
+	}
+}
+
+// TestRefitPoolInflightSettledBeforeDelivery: once a pooled fit's result is
+// in the job's channel, the pool must no longer count that fit as
+// executing. Otherwise a fully drained server can report
+// Stats.RefitInflight == 1, and every caller comparing the Stats of two
+// drained servers sees a spurious difference. The window is a few
+// instructions wide, so the test repeats the enqueue-deliver-inspect cycle
+// many times.
+func TestRefitPoolInflightSettledBeforeDelivery(t *testing.T) {
+	open := make(chan struct{})
+	close(open)
+	pool := newRefitPool(1, 0)
+	cp := &simulator.Checkpoint{}
+	for i := 0; i < 200000; i++ {
+		ch := make(chan refitResult, 1)
+		pool.enqueue(refitTask{pred: &gatedPredictor{gate: open}, cp: cp, ch: ch})
+		for len(ch) == 0 {
+			runtime.Gosched()
+		}
+		if _, inflight := pool.depths(); inflight != 0 {
+			t.Fatalf("iteration %d: result delivered while the pool still reports %d fit(s) in flight", i, inflight)
+		}
 	}
 }

@@ -39,9 +39,6 @@ func Open(dir string, shards int, s Scan, opts Options) (*WAL, error) {
 	}
 	streams := opts.streamCount(shards)
 	ro := make(map[int]*roSegGroup)
-	if len(s.legacySegs) > 0 {
-		ro[legacyGroup] = &roSegGroup{segs: s.legacySegs, end: s.legacyEnd}
-	}
 	streamSegs := make(map[int][]Entry)
 	streamLast := make(map[int]uint64)
 	for shard, g := range s.groups {
@@ -122,16 +119,6 @@ func (w *WAL) Checkpoint(write func(io.Writer) (uint64, error)) (string, int, er
 	retired, err := w.RetireBelow(retireFloor)
 	if err != nil {
 		return path, retired, fmt.Errorf("serve: checkpoint: retire: %w", err)
-	}
-	if w.cw != nil {
-		// Absorb at checkpoint time: the streams' segment fsyncs ride the
-		// checkpoint's I/O burst, and dropping the commit files here keeps
-		// them from pinning patches against history the retire above just
-		// removed. A failed absorb strands at most redundant files — the
-		// next recovery skips patches whose targets are gone.
-		if err := w.cw.absorb(); err != nil {
-			return path, retired, fmt.Errorf("serve: checkpoint: absorb: %w", err)
-		}
 	}
 	return path, retired, nil
 }

@@ -14,9 +14,6 @@ package wal
 // every record carries its LSN explicitly (wire.FrameRecord); each segment opens
 // with a wire.FrameSegHeader declaring its name stamp and the stream's previous
 // end LSN, the chain link recovery uses to detect missing segments.
-// Directories written by the old single-stream layout (wal-<base>.seg,
-// implicit LSNs from a wire.FrameLSNMark header) recover unchanged; new appends
-// always land in per-shard streams.
 //
 // Durability model: a record is written to its segment file (one Write
 // call, i.e. into the OS page cache) before the mutation is acknowledged,
@@ -71,6 +68,14 @@ var ErrFailed = errors.New("serve/wal: failed")
 // snapshot floor and the retained log — externally deleted or misplaced
 // segments. Recovery refuses to silently skip the hole.
 var ErrGap = errors.New("serve/wal: gap in log")
+
+// ErrLayout reports a WAL directory holding files of a retired on-disk
+// layout — batched commit files (commit-<stamp>.seg) or single-stream
+// segments (wal-<16 hex>.seg). This reader cannot replay their records,
+// and serving the rest of the log would silently drop acknowledged
+// mutations, so recovery and verification refuse the directory and write
+// nothing.
+var ErrLayout = errors.New("serve/wal: retired layout")
 
 // File is the writable half of a WAL segment.
 type File interface {
@@ -171,18 +176,6 @@ type Options struct {
 	// the previous checkpoint, bounding both recovery time and retained log
 	// size under sustained traffic. 0 disables the size trigger.
 	CheckpointBytes int64
-	// CommitBatch enables the batched cross-stream commit path: each
-	// group-commit window stages every dirty stream's unsynced tail as
-	// CRC-framed records in one shared commit file (commit-<stamp>.seg) and
-	// fsyncs that single file — one data fsync per window no matter how many
-	// streams are dirty. The per-stream segment files become layout only,
-	// hardened lazily (rotation, checkpoints, idle windows, Close) by an
-	// absorb pass that fsyncs them and drops the commit files they made
-	// redundant; recovery re-materializes any segment bytes a crash took
-	// with the page cache from the surviving commit files. With batching the
-	// default stream fan-out tracks the shard count instead of GOMAXPROCS —
-	// extra streams no longer multiply fsyncs.
-	CommitBatch bool
 	// FS overrides the filesystem (fault injection in tests). nil = OS.
 	FS FS
 }
@@ -212,16 +205,7 @@ func (o Options) WithDefaults() Options {
 func (o Options) streamCount(shards int) int {
 	n := o.Streams
 	if n <= 0 {
-		n = shards
-		// Per-stream fsync couples useful fan-out to the CPU count (each
-		// dirty stream costs its own fsync per window); the batched commit
-		// path pays one fsync per window regardless, so it tracks the shard
-		// count directly.
-		if !o.CommitBatch {
-			if p := runtime.GOMAXPROCS(0); n > p {
-				n = p
-			}
-		}
+		n = min(shards, runtime.GOMAXPROCS(0))
 	}
 	if n < 1 {
 		n = 1
@@ -253,8 +237,8 @@ type StreamStats struct {
 // Stats reports a WAL's counters; /stats serves them as the "wal"
 // object.
 type Stats struct {
-	// Segments counts live segment files across all streams (including any
-	// legacy single-stream segments retained from before an upgrade).
+	// Segments counts live segment files across all streams (including the
+	// read-only streams of shard indices beyond the current fan-out).
 	Segments int `json:"segments"`
 	// Streams is the per-shard stream fan-out of this writer.
 	Streams int `json:"streams"`
@@ -271,21 +255,6 @@ type Stats struct {
 	Syncs        uint64        `json:"syncs"`
 	PendingBytes int64         `json:"pending_bytes"`
 	FsyncLag     time.Duration `json:"fsync_lag_ns"`
-	// CommitBatched reports the batched cross-stream commit path is active
-	// (Options.CommitBatch): Syncs then counts one commit-file fsync per
-	// group-commit window plus the segment-hardening fsyncs of absorb
-	// passes, instead of one fsync per dirty stream per window.
-	CommitBatched bool `json:"commit_batched,omitempty"`
-	// CommitWindows counts group-commit windows made durable through the
-	// shared commit file; CommitRecords the staged batch records (one per
-	// dirty stream per window) and CommitBytes their framed size, so
-	// CommitRecords/CommitWindows is the measured per-window fan-out that a
-	// per-stream-fsync writer would have paid in fsyncs. CommitFiles is the
-	// live commit files not yet absorbed into their segments.
-	CommitWindows uint64 `json:"commit_windows,omitempty"`
-	CommitRecords uint64 `json:"commit_records,omitempty"`
-	CommitBytes   uint64 `json:"commit_bytes,omitempty"`
-	CommitFiles   int    `json:"commit_files,omitempty"`
 	// RetiredSegments counts segments removed by checkpoints.
 	RetiredSegments uint64 `json:"retired_segments"`
 	// Checkpoints counts completed checkpoints (automatic or explicit);
@@ -311,16 +280,12 @@ type WAL struct {
 
 	streams []*walStream
 
-	// cw is the batched cross-stream committer (Options.CommitBatch); nil
-	// means every dirty stream fsyncs its own segment.
-	cw *committer
-
-	// ro holds read-only segment groups recovery handed over: legacy
-	// single-stream segments (key legacyGroup) and streams of shard indices
-	// beyond the configured fan-out (a directory written at a higher stream
-	// count). They are never appended to; checkpoints retire them once
-	// covered. Each group records its last LSN (learned by recovery) so its
-	// final segment — whose extent no successor bounds — can retire too.
+	// ro holds the read-only segment groups recovery handed over: streams
+	// of shard indices beyond the configured fan-out (a directory written
+	// at a higher stream count), keyed by shard. They are never appended
+	// to; checkpoints retire them once covered. Each group records its last
+	// LSN (learned by recovery) so its final segment — whose extent no
+	// successor bounds — can retire too.
 	roMu sync.Mutex
 	ro   map[int]*roSegGroup
 
@@ -388,31 +353,16 @@ type walStream struct {
 	syncs        uint64
 	buf          []byte // record payload scratch, reused under mu
 	frameBuf     []byte // frame scratch, reused under mu
-
-	// Batched-commit bookkeeping (nil/0 in per-stream-fsync mode). tail
-	// retains the open segment's bytes not yet staged into a commit file —
-	// the capture copies it out, so its backing array never escapes mu —
-	// and hardened is the segment length already made durable by a segment
-	// fsync (absorb); bytes between hardened and written-minus-tail are
-	// durable only through the commit file.
-	tail     []byte
-	hardened int64
 }
 
 // segment / snapshot file naming inside the WAL directory.
 const (
-	SegPrefix    = "wal-"
-	SegSuffix    = ".seg"
-	SnapPrefix   = "snap-"
-	SnapSuffix   = ".snap"
-	CommitPrefix = "commit-"
-	TmpSuffix    = ".tmp"
+	SegPrefix  = "wal-"
+	SegSuffix  = ".seg"
+	SnapPrefix = "snap-"
+	SnapSuffix = ".snap"
+	TmpSuffix  = ".tmp"
 )
-
-// LegacySegName is the legacy single-stream segment name (wal-<base>.seg); new
-// segments are named by SegName. Both parse distinctly: the legacy hex
-// field is exactly 16 digits, the per-shard form carries a 4-digit shard.
-func LegacySegName(base uint64) string { return fmt.Sprintf("%s%016x%s", SegPrefix, base, SegSuffix) }
 
 // SegName names a per-shard segment: wal-<shard>-<stamp>.seg.
 func SegName(shard int, stamp uint64) string {
@@ -420,14 +370,6 @@ func SegName(shard int, stamp uint64) string {
 }
 
 func SnapName(lsn uint64) string { return fmt.Sprintf("%s%016x%s", SnapPrefix, lsn, SnapSuffix) }
-
-// CommitName names a batched group-commit file: commit-<stamp>.seg. The
-// prefix keeps it invisible to segment and snapshot listings (both parse
-// by their own prefixes), so a per-stream-fsync reader never trips over
-// one left behind by a crash of a batched writer.
-func CommitName(stamp uint64) string {
-	return fmt.Sprintf("%s%016x%s", CommitPrefix, stamp, SegSuffix)
-}
 
 func ParseSeq(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
@@ -462,9 +404,8 @@ func ParseShardSeg(name string) (shard int, stamp uint64, ok bool) {
 }
 
 // ListSorted returns the (name, sequence) pairs in dir matching
-// prefix/suffix, in ascending sequence order. Per-shard segment names do
-// not match the legacy segment pattern (their hex field is 21 characters),
-// so listing legacy segments never picks them up, and vice versa.
+// prefix/suffix with a 16-hex-digit sequence between them, in ascending
+// sequence order.
 func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -481,7 +422,10 @@ func ListSorted(fs FS, dir, prefix, suffix string) ([]Entry, error) {
 }
 
 // ListShardSegs groups dir's per-shard segments by shard, each group in
-// ascending stamp order.
+// ascending stamp order. A directory holding a file of a retired layout —
+// a batched commit file (commit-<stamp>.seg) or a single-stream segment
+// (wal-<16 hex>.seg) — fails with ErrLayout: every reader of the log lists
+// it through here, so none can silently skip those records.
 func ListShardSegs(fs FS, dir string) (map[int][]Entry, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
@@ -489,6 +433,10 @@ func ListShardSegs(fs FS, dir string) (map[int][]Entry, error) {
 	}
 	groups := make(map[int][]Entry)
 	for _, n := range names {
+		_, single := ParseSeq(n, SegPrefix, SegSuffix)
+		if single || strings.HasPrefix(n, "commit-") && strings.HasSuffix(n, SegSuffix) {
+			return nil, fmt.Errorf("%w: %s cannot be replayed by this version", ErrLayout, n)
+		}
 		if shard, stamp, ok := ParseShardSeg(n); ok {
 			groups[shard] = append(groups[shard], Entry{Name: n, Seq: stamp})
 		}
@@ -512,15 +460,12 @@ type roSegGroup struct {
 	end  uint64
 }
 
-// legacyGroup keys the old single-stream segments in WAL.ro.
-const legacyGroup = -1
-
 // newWAL builds the writer Recover attaches: the global sequence resumes at
 // seq, per-stream tails at streamLast (recovery's per-stream last retained
-// LSNs), and read-only groups (legacy single-stream segments, out-of-range
-// shard streams) are carried for retirement. No segment is created until a
-// stream's first append (recovery never appends to a possibly-torn tail,
-// and idle streams leave no empty files).
+// LSNs), and read-only groups (out-of-range shard streams) are carried for
+// retirement. No segment is created until a stream's first append
+// (recovery never appends to a possibly-torn tail, and idle streams leave
+// no empty files).
 func newWAL(dir string, seq uint64, streams int, streamLast map[int]uint64,
 	streamSegs map[int][]Entry, ro map[int]*roSegGroup, opts Options) *WAL {
 	if seq < 1 {
@@ -541,9 +486,6 @@ func newWAL(dir string, seq uint64, streams int, streamLast map[int]uint64,
 	w.inflight = make([]atomic.Uint64, streams)
 	for i := range w.streams {
 		w.streams[i] = &walStream{w: w, shard: i, lastLSN: streamLast[i], segs: streamSegs[i]}
-	}
-	if opts.CommitBatch {
-		w.cw = &committer{w: w}
 	}
 	if opts.SyncEvery > 0 {
 		w.bg.Add(1)
@@ -741,15 +683,6 @@ func (s *walStream) createSegmentLocked() error {
 	if s.pendingSince.IsZero() {
 		s.pendingSince = time.Now()
 	}
-	// Batched mode: the header bytes are segment content like any record —
-	// a recovery that re-materializes this segment from the commit file
-	// needs them — so they enter the tail exactly as appends do. Rotation
-	// absorbed the previous segment, so the tail is empty here and never
-	// spans segments: one (stamp, offset) pair describes it.
-	s.hardened = 0
-	if w.cw != nil {
-		s.tail = append(s.tail[:0], hdr...)
-	}
 	// A recovered header-only segment (created, then crashed before its
 	// first record) can share this stamp: Create truncated that file, so
 	// replace its inventory entry instead of double-listing the name.
@@ -761,17 +694,10 @@ func (s *walStream) createSegmentLocked() error {
 }
 
 // rotateLocked syncs and closes the open segment and starts a new one.
-// In batched mode the sync is an absorb — the closing segment's bytes
-// harden into the layout, so the tail never spans segments and the closed
-// file needs nothing from any commit file. Called with both s.syncMu and
-// s.mu held; only called after at least one record was appended, so
-// successive stamps are strictly increasing.
+// Called with both s.syncMu and s.mu held; only called after at least one
+// record was appended, so successive stamps are strictly increasing.
 func (s *walStream) rotateLocked() error {
-	if s.w.cw != nil {
-		if err := s.absorbLocked(); err != nil {
-			return err
-		}
-	} else if err := s.syncLocked(); err != nil {
+	if err := s.syncLocked(); err != nil {
 		return err
 	}
 	if err := s.f.Close(); err != nil {
@@ -842,10 +768,7 @@ func (w *WAL) append(jobID uint64, kind wire.FrameKind, encode func(*wire.Enc) e
 	}
 	s.appends++
 	s.bytes += uint64(len(frame))
-	if w.cw != nil {
-		s.tail = append(s.tail, frame...)
-	}
-	if w.opts.SyncEvery == 0 && w.cw == nil {
+	if w.opts.SyncEvery == 0 {
 		// Full-durability mode: the record must be synced before anyone —
 		// this stream or a sibling waiting on the watermark — treats it as
 		// complete.
@@ -854,24 +777,6 @@ func (w *WAL) append(jobID uint64, kind wire.FrameKind, encode func(*wire.Enc) e
 		}
 	}
 	w.inflight[s.shard].Store(0)
-	if w.opts.SyncEvery == 0 && w.cw != nil {
-		// Full-durability batched mode: the record is written, so the
-		// inflight slot cleared above — sync ordering comes from the commit
-		// lock, not the watermark. A capture takes every stream's mu, so
-		// any record with a lower LSN was written before this flush's
-		// capture reached its stream and is covered by this (or an earlier)
-		// commit fsync; a flush that returns nil therefore proves every LSN
-		// up to this one durable. The commit lock orders before stream
-		// locks, so drop s.mu first — whoever wins the lock fsyncs every
-		// tail staged so far, and racing appends get their group commit for
-		// free.
-		s.mu.Unlock()
-		_, err := w.cw.commitFlush()
-		s.mu.Lock()
-		if err != nil {
-			return 0, err
-		}
-	}
 	if s.written >= w.opts.SegmentBytes {
 		// Rotation fsyncs and closes the file, which must serialize with an
 		// in-flight group-commit flush — and syncMu orders before mu, so
@@ -945,26 +850,6 @@ func (s *walStream) syncLocked() error {
 	return nil
 }
 
-// absorbLocked hardens the open segment into the layout: one segment
-// fsync makes every written byte durable in the segment file itself,
-// independent of any commit file — after it, this stream's extents in the
-// commit files are redundant (recovery re-materializes identical bytes).
-// Batched mode only; called with s.syncMu and s.mu held.
-func (s *walStream) absorbLocked() error {
-	if s.f == nil || s.hardened >= s.written {
-		return nil
-	}
-	if err := s.f.Sync(); err != nil {
-		return s.w.failWith(fmt.Errorf("serve/wal: absorb sync: %w", err))
-	}
-	s.syncs++
-	s.hardened = s.written
-	s.tail = s.tail[:0]
-	s.pending = 0
-	s.pendingSince = time.Time{}
-	return nil
-}
-
 // flush is the group-commit fsync of one stream. The fsync itself runs
 // under syncMu only — mu is held just to capture and update bookkeeping —
 // so appends to the stream proceed while their group commit is in flight.
@@ -1005,16 +890,11 @@ func (s *walStream) dirty() bool {
 }
 
 // Sync makes every acknowledged append durable (the group-commit flush).
-// Batched mode stages all dirty tails into the shared commit file and
-// fsyncs once; per-stream mode fsyncs the dirty streams concurrently, so
-// group commit pays one fsync latency (but still one fsync per dirty
-// stream). Per-stream failures are joined: a multi-stream flush failure
-// reports every stream's error, not just the first.
+// It fsyncs the dirty streams concurrently, so group commit pays one fsync
+// latency (but still one fsync per dirty stream). Per-stream failures are
+// joined: a multi-stream flush failure reports every stream's error, not
+// just the first.
 func (w *WAL) Sync() error {
-	if w.cw != nil {
-		_, err := w.cw.commitFlush()
-		return err
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(w.streams))
 	for i, s := range w.streams {
@@ -1047,18 +927,7 @@ func (w *WAL) flushLoop() {
 				// a finished goroutine.
 				return
 			}
-			if c := w.cw; c != nil {
-				if n, err := c.commitFlush(); err == nil && n == 0 {
-					// An idle window: no tail was staged, so spend the quiet
-					// tick hardening commit-file bytes into their segments
-					// and dropping the commit files — recovery then has
-					// nothing to re-materialize and the directory stays a
-					// plain per-stream layout while traffic is away.
-					c.absorb()
-				}
-			} else {
-				w.Sync()
-			}
+			w.Sync()
 		}
 	}
 }
@@ -1110,17 +979,6 @@ func (w *WAL) Stats() Stats {
 		st.Segments += len(g.segs)
 	}
 	w.roMu.Unlock()
-	if c := w.cw; c != nil {
-		st.CommitBatched = true
-		st.CommitWindows = c.windows.Load()
-		st.CommitRecords = c.records.Load()
-		st.CommitBytes = c.bytes.Load()
-		st.CommitFiles = int(c.liveFiles.Load())
-		// Syncs stays the total data-fsync count either way: per-stream
-		// segment fsyncs plus (batched) commit-file fsyncs, so the
-		// O(1)-per-window claim is checkable from this one counter.
-		st.Syncs += c.syncs.Load()
-	}
 	if !oldest.IsZero() {
 		st.FsyncLag = time.Since(oldest)
 	}
@@ -1132,11 +990,10 @@ func (w *WAL) Stats() Stats {
 // segment's records end before its successor's stamp, so a segment retires
 // once a successor exists with stamp at or below the floor; open segments
 // and each stream's newest segment never retire (without a successor the
-// newest segment's extent is unknown). Read-only groups — legacy
-// single-stream segments (by base LSN) and out-of-range shard streams —
-// retire by the same successor rule, with each group's final segment
-// retiring once the group end recovery recorded is covered. Returns how
-// many segments were deleted.
+// newest segment's extent is unknown). Read-only groups (out-of-range
+// shard streams) retire by the same successor rule, with each group's
+// final segment retiring once the group end recovery recorded is covered.
+// Returns how many segments were deleted.
 func (w *WAL) RetireBelow(floor uint64) (int, error) {
 	removed := 0
 	for _, s := range w.streams {
@@ -1197,15 +1054,6 @@ func (w *WAL) Close() error {
 	close(w.stop)
 	w.bg.Wait()
 	var first error
-	if w.cw != nil {
-		// Harden every stream and drop the commit files: a cleanly closed
-		// batched WAL leaves a plain per-stream directory, so any writer —
-		// batched or not, newer or older — reopens it without a
-		// reconciliation step.
-		if err := w.cw.absorb(); err != nil && first == nil {
-			first = err
-		}
-	}
 	for _, s := range w.streams {
 		s.syncMu.Lock()
 		s.mu.Lock()
@@ -1219,14 +1067,6 @@ func (w *WAL) Close() error {
 		s.mu.Unlock()
 		s.syncMu.Unlock()
 		if err != nil && first == nil {
-			first = err
-		}
-	}
-	if w.cw != nil {
-		// An append racing Close can have flushed a fresh commit file after
-		// the absorb above; its records are durable and recovery replays
-		// them — only the handle needs closing.
-		if err := w.cw.closeFile(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,6 +31,27 @@ import (
 // paying for model refits.
 func cheapCfg(shards int) Config {
 	return Config{Shards: shards, NewPredictor: func(JobSpec) simulator.Predictor { return &flagAll{} }}
+}
+
+// tinySpec builds a minimal valid job spec for tests that drive the WAL
+// directly with hand-picked job IDs (stream routing is wire.Mix64(id) %
+// streams, so the IDs select their streams).
+func tinySpec(id uint64) JobSpec {
+	return JobSpec{JobID: id, Schema: []string{"c"}, NumTasks: 2, TauStra: 10,
+		Horizon: 100, Checkpoints: 4, WarmFrac: 0.25, Seed: id}
+}
+
+// jobIDsCoveringStreams returns n job IDs routing to n distinct streams.
+func jobIDsCoveringStreams(n int) []uint64 {
+	ids := make([]uint64, 0, n)
+	seen := make(map[uint64]bool, n)
+	for id := uint64(1); len(ids) < n; id++ {
+		if sh := wire.Mix64(id) % uint64(n); !seen[sh] {
+			seen[sh] = true
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // walWorkload returns a small registered workload: specs plus each job's
@@ -531,8 +553,9 @@ func TestReplayFromSkips(t *testing.T) {
 }
 
 // FuzzWALRecover feeds arbitrary bytes to the recovery path as a lone WAL
-// segment — planted under the per-shard layout or the legacy single-stream
-// layout, selected by the first input byte, so both replay paths stay
+// segment — planted under a per-shard segment name or a retired
+// single-stream segment name (wal-<16 hex>.seg), selected by the first
+// input byte, so both the replay path and the retired-layout refusal stay
 // fuzzed. The invariants: never panic; recover a prefix or fail typed;
 // never double-apply (the budget counters always equal the recovered job
 // set); and the recovered LSN never exceeds the number of frames the
@@ -574,8 +597,9 @@ func FuzzWALRecover(f *testing.F) {
 	if len(seed) == 0 {
 		f.Fatal("no seed segment bytes")
 	}
-	// The same records in legacy form: implicit LSNs under an LSN-mark
-	// header, derived by unwrapping each wire.FrameRecord envelope.
+	// The same records in the retired single-stream form: implicit LSNs
+	// under an LSN-mark header, derived by unwrapping each wire.FrameRecord
+	// envelope.
 	legacySeed := func() []byte {
 		var e wire.Enc
 		wire.AppendLSNMarkPayload(&e, 1)
@@ -615,7 +639,7 @@ func FuzzWALRecover(f *testing.F) {
 		fs := waltest.NewMemFS()
 		name := "wal/" + walpkg.SegName(0, 1)
 		if len(data) > 0 && data[0]&1 == 1 {
-			name = "wal/" + walpkg.LegacySegName(1)
+			name = "wal/" + singleStreamSeg
 		}
 		if len(data) > 0 {
 			data = data[1:]
@@ -653,6 +677,68 @@ func FuzzWALRecover(f *testing.F) {
 			t.Fatalf("task budget %d, registered jobs hold %d", tasks, wantTasks)
 		}
 	})
+}
+
+// singleStreamSeg and commitFile name files of the retired on-disk layouts:
+// a single-stream segment and a batched commit file.
+const (
+	singleStreamSeg = "wal-0000000000000001.seg"
+	commitFile      = "commit-0000000000000001.seg"
+)
+
+// TestRecoverRefusesRetiredLayouts: a directory holding a file of a
+// retired layout must be refused typed by both Recover and Verify, and left
+// byte-identical. Neither can replay those records, and serving the rest of
+// the log would silently drop acknowledged mutations.
+func TestRecoverRefusesRetiredLayouts(t *testing.T) {
+	for _, planted := range []string{commitFile, singleStreamSeg} {
+		t.Run(planted, func(t *testing.T) {
+			fs := waltest.NewMemFS()
+			sv, wal, _, err := Recover("wal", cheapCfg(2), WALOptions{Streams: 2, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := jobIDsCoveringStreams(2)
+			for _, id := range ids {
+				if err := sv.StartJob(tinySpec(id), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := sv.CheckpointWAL(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: ids[0], TaskID: 0, Time: 1}); err != nil {
+				t.Fatal(err)
+			}
+			wal.Close()
+			// A wire header plus one well-formed frame: the file is readable,
+			// only its layout is retired.
+			var e wire.Enc
+			wire.AppendLSNMarkPayload(&e, 1)
+			fs.Files["wal/"+planted] = wire.AppendFrame(AppendHeader(nil), wire.FrameLSNMark, e.B)
+			fs.Synced["wal/"+planted] = len(fs.Files["wal/"+planted])
+
+			before := make(map[string]string, len(fs.Files))
+			for name, b := range fs.Files {
+				before[name] = string(b)
+			}
+			ops := len(fs.Journal)
+			if _, _, _, err := Recover("wal", cheapCfg(2), WALOptions{Streams: 2, FS: fs}); !errors.Is(err, walpkg.ErrLayout) {
+				t.Errorf("Recover: err %v, want ErrLayout", err)
+			}
+			if _, err := VerifyWAL("wal", WALOptions{FS: fs}); !errors.Is(err, walpkg.ErrLayout) {
+				t.Errorf("Verify: err %v, want ErrLayout", err)
+			}
+			after := make(map[string]string, len(fs.Files))
+			for name, b := range fs.Files {
+				after[name] = string(b)
+			}
+			if !reflect.DeepEqual(before, after) || len(fs.Journal) != ops {
+				t.Errorf("refusing the directory changed it: %d files before, %d after, %d write operations",
+					len(before), len(after), len(fs.Journal)-ops)
+			}
+		})
+	}
 }
 
 // TestWALAutoCheckpointTimer pins the wall-clock trigger: with
@@ -1010,4 +1096,175 @@ func TestRecoverUnwritableDir(t *testing.T) {
 	if !strings.Contains(err.Error(), "not writable") {
 		t.Errorf("unwritable-dir error %q does not say so", err)
 	}
+}
+
+// TestWALFsyncPerDirtyStream pins the cost model behind the default stream
+// fan-out: a group-commit window pays one fsync per dirty stream, so
+// Options.Streams 0 caps the fan-out at GOMAXPROCS (pinned to 1 here).
+func TestWALFsyncPerDirtyStream(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sv, wal, _, err := Recover("wal", cheapCfg(8),
+		WALOptions{Streams: 8, SyncEvery: time.Hour, FS: waltest.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	for _, id := range jobIDsCoveringStreams(8) {
+		if err := sv.StartJob(tinySpec(id), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := wal.Stats().Syncs
+	if err := wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if delta := wal.Stats().Syncs - before; delta != 8 {
+		t.Errorf("window with 8 dirty streams: %d fsyncs, want 8", delta)
+	}
+
+	_, wal2, _, err := Recover("wal", cheapCfg(8), WALOptions{FS: waltest.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	if got := wal2.Streams(); got != 1 {
+		t.Errorf("8 shards, GOMAXPROCS=1: default fan-out %d, want 1", got)
+	}
+}
+
+// failSyncFS makes every segment file's fsync fail with an error naming
+// the file, so a multi-stream Sync failure is distinguishable per stream.
+// The writability probe (wal-probe.tmp) and snapshot files pass through
+// untouched.
+type failSyncFS struct {
+	WALFS
+}
+
+func (fs *failSyncFS) Create(name string) (WALFile, error) {
+	f, err := fs.WALFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	base := filepath.Base(name)
+	if strings.HasPrefix(base, walpkg.SegPrefix) && strings.HasSuffix(base, walpkg.SegSuffix) {
+		return failSyncFile{WALFile: f, name: base}, nil
+	}
+	return f, nil
+}
+
+type failSyncFile struct {
+	WALFile
+	name string
+}
+
+func (f failSyncFile) Sync() error {
+	return fmt.Errorf("injected sync failure on %s", f.name)
+}
+
+// TestWALSyncJoinsStreamErrors: when several streams' flushes fail in one
+// group commit, Sync must report every stream's own failure, not just the
+// first latched one — operators diagnosing a dying device need to see
+// which streams it took down.
+func TestWALSyncJoinsStreamErrors(t *testing.T) {
+	fs := &failSyncFS{WALFS: waltest.NewMemFS()}
+	sv, wal, _, err := Recover("wal", cheapCfg(2), WALOptions{Streams: 2, SyncEvery: time.Hour, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range jobIDsCoveringStreams(2) {
+		if err := sv.StartJob(tinySpec(id), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = wal.Sync()
+	if err == nil {
+		t.Fatal("Sync with two failing streams returned nil")
+	}
+	if !errors.Is(err, ErrWALFailed) {
+		t.Errorf("Sync error is not ErrWALFailed: %v", err)
+	}
+	msg := err.Error()
+	for _, stream := range []string{"wal-0000-", "wal-0001-"} {
+		if !strings.Contains(msg, stream) {
+			t.Errorf("joined Sync error omits stream %s*: %q", stream, msg)
+		}
+	}
+	wal.Close() // wedged close may error; it must not panic
+}
+
+// wedgeFS counts every fsync attempt and can be switched to fail them
+// all, modeling a log device that dies under a running server.
+type wedgeFS struct {
+	WALFS
+	syncs  atomic.Int32
+	broken atomic.Bool
+}
+
+func (fs *wedgeFS) Create(name string) (WALFile, error) {
+	f, err := fs.WALFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &wedgeFile{WALFile: f, fs: fs}, nil
+}
+
+type wedgeFile struct {
+	WALFile
+	fs *wedgeFS
+}
+
+func (f *wedgeFile) Sync() error {
+	f.fs.syncs.Add(1)
+	if f.fs.broken.Load() {
+		return fmt.Errorf("injected: log device gone")
+	}
+	return f.WALFile.Sync()
+}
+
+// TestWALFlushLoopExitsWhenWedged: once the first flush failure wedges the
+// log, the background flusher must stop ticking instead of hammering the
+// dead device with a doomed stream fsync every SyncEvery.
+func TestWALFlushLoopExitsWhenWedged(t *testing.T) {
+	// One case per commit mode; per-stream fsync is the only mode left.
+	t.Run("per-stream", func(t *testing.T) {
+		const tick = 2 * time.Millisecond
+		fs := &wedgeFS{WALFS: waltest.NewMemFS()}
+		sv, wal, _, err := Recover("wal", cheapCfg(1), WALOptions{Streams: 1, SyncEvery: tick, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.StartJob(tinySpec(1), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.Ingest(Event{Kind: EventTaskStart, JobID: 1, TaskID: 0, Time: 1}); err != nil {
+			t.Fatal(err)
+		}
+		fs.broken.Store(true)
+		// Keep the stream dirty with heartbeats until a flusher tick hits the
+		// broken device and the wedge latches.
+		deadline := time.Now().Add(5 * time.Second)
+		for tm := 2.0; ; tm++ {
+			err := sv.Ingest(Event{Kind: EventHeartbeat, JobID: 1, TaskID: 0,
+				Time: tm, Features: []float64{tm}})
+			if errors.Is(err, ErrWALFailed) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("pre-wedge ingest: %v", err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("flusher never wedged the log")
+			}
+			time.Sleep(tick)
+		}
+		// Drain any tick already in flight, then require silence: a flusher
+		// that kept running would attempt ~50 more fsyncs.
+		time.Sleep(5 * tick)
+		before := fs.syncs.Load()
+		time.Sleep(50 * tick)
+		if after := fs.syncs.Load(); after != before {
+			t.Fatalf("wedged log saw %d fsync attempts after the wedge settled; the flusher is still ticking", after-before)
+		}
+		wal.Close()
+	})
 }

@@ -384,14 +384,6 @@ func FuzzWireDecode(f *testing.F) {
 					t.Fatalf("segment header re-encode diverges from input")
 				}
 			}
-		case FrameCommitBatch:
-			if cb, err := DecodeCommitBatchPayload(payload); err == nil {
-				var e Enc
-				AppendCommitBatchPayload(&e, cb.Shard, cb.Stamp, cb.Off, cb.Data)
-				if !bytes.Equal(AppendFrame(nil, kind, e.B), data[:n]) {
-					t.Fatalf("commit-batch re-encode diverges from input")
-				}
-			}
 		}
 	})
 }
